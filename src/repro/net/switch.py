@@ -137,9 +137,6 @@ class Switch(Node):
             raise ValueError(f"straggler factor must be positive: {factor}")
         self.forwarding_delay_ns = int(self.base_forwarding_delay_ns * factor)
 
-    def add_route(self, dst_host: str, link: Link) -> None:
-        self.routes.setdefault(dst_host, []).append(link)
-
     # ------------------------------------------------------------------
     def receive(self, packet: Packet, in_link: Link) -> None:
         if self.failed:

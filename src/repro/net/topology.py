@@ -365,7 +365,7 @@ def build_fat_tree(
 ) -> Topology:
     """Build a pods/spines/cores fat-tree with logical up/down switches.
 
-    ``install_routes=False`` skips the per-host routing BFS — used by
+    ``install_routes=False`` skips the route computation — used by
     construction-invariant tests on very large geometries (k=32: 8k+
     hosts), where the counts and wiring are the properties under test
     and the full route computation would dominate the suite's runtime.
