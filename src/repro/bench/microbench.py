@@ -308,7 +308,7 @@ def bench_metrics_hotpath(seed: int, scale: float) -> BenchResult:
 
 
 def bench_chaos_episode(seed: int, scale: float) -> BenchResult:
-    """Wall-clock of one full chaos episode (faults + invariant monitor)."""
+    """Wall-clock of one full chaos episode (faults + oracle verdict)."""
     from repro.chaos import CampaignRunner
 
     runner = CampaignRunner(

@@ -1,12 +1,14 @@
-"""Chaos campaign harness: gray-failure injection + invariant monitoring.
+"""Chaos campaign harness: gray-failure injection + the §2.1 verdict.
 
 The crash-stop injector in :mod:`repro.net.failures` covers the paper's
 fail-stop model (§2.1).  This package adds everything a datacenter
 actually throws at a total-order fabric — bursty loss, degraded links,
 straggling switch CPUs, clock trouble, controller partitions — plus a
-cluster-wide monitor for the §2.1 guarantees and a seeded campaign
-runner that drives all three switch incarnations through randomized
-fault schedules and reports violations with replayable seeds.
+seeded campaign runner that drives all three switch incarnations
+through randomized fault schedules, judges every episode with the §2.1
+reference oracle, and reports violations with replayable seeds.  A live
+monitor (per-delivery order, barrier monotonicity) stays available for
+early-abort debugging.
 """
 
 from repro.chaos.campaign import CampaignRunner, TrafficDriver, write_report

@@ -1,13 +1,15 @@
 """Seeded chaos campaigns over the 1Pipe cluster.
 
 A campaign is N independent *episodes*.  Episode ``i`` builds a fresh
-simulator from the deterministic episode seed ``seed * 1_000_003 + i``,
-brings up a full testbed cluster in incarnation ``MODES[i % 3]``,
-attaches an :class:`~repro.chaos.monitor.InvariantMonitor`, arms a
-seeded :class:`~repro.chaos.schedule.ChaosSchedule`, and drives random
-scatter traffic through the fault window plus a drain period.  At the
-end the monitor's final checks run and the episode's outcome (faults,
-violations, delivery/recovery statistics) is folded into a JSON report.
+simulator from the deterministic episode seed ``seed * 1_000_003 + i``
+with its delivery trace enabled, brings up a full testbed cluster in
+incarnation ``MODES[i % 3]``, arms a seeded
+:class:`~repro.chaos.schedule.ChaosSchedule`, and drives random scatter
+traffic through the fault window plus a drain period.  At the end the
+§2.1 reference oracle (:class:`~repro.verify.oracle.ReferenceOracle`,
+O1–O6, plus its attack-mode rules when the schedule plants ``byz_*``
+adversaries) judges the trace, and the episode's outcome (faults,
+divergences, delivery/recovery statistics) is folded into a JSON report.
 
 Everything is derived from named :meth:`Simulator.rng` streams, so a
 campaign report is a pure function of ``(seed, episodes, knobs)`` —
@@ -17,19 +19,24 @@ violation can be replayed from the episode seed it names.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
-from repro.chaos.monitor import InvariantMonitor
 from repro.chaos.schedule import ChaosInjector, ChaosSchedule
 from repro.consensus.raft import RaftGroup, RaftReplicator
 from repro.net.topology import build_testbed
 from repro.obs.export import metrics_summary
 from repro.onepipe import OnePipeCluster, OnePipeConfig
 from repro.onepipe.config import MODES
+from repro.onepipe.sender import ProcessSender
 from repro.parallel import run_ordered
 from repro.sim import Simulator
+from repro.verify.oracle import ADVERSARY_CLAUSES
+
+# repro.verify.episodes and repro.verify.runner import this package's
+# fault schedule, so they are imported where used, not here.
 
 # Sync every 250 us instead of the paper's 125 ms so clock outages and
 # step faults interact with multiple sync epochs inside an episode.
@@ -45,8 +52,9 @@ class TrafficDriver:
     Processes the controller has declared failed stop sending — the
     failure callback kills the real application too (§5.2 Callback).
     Payloads embed (episode, sender, sequence, destination) so they are
-    globally unique, which the monitor's FIFO and exactly-once checks
-    rely on.
+    globally unique.  Every send call is kept in :attr:`records` as a
+    ``(SendOp, Scattering)`` pair (``None`` when the send was refused),
+    the input :func:`~repro.verify.episodes.extract_observation` needs.
     """
 
     def __init__(
@@ -69,10 +77,12 @@ class TrafficDriver:
         self.senders_per_round = senders_per_round
         self.max_fanout = max_fanout
         self._seq = 0
-        self.scatterings_sent = 0
+        self.records: List[tuple] = []
         self.sim.schedule_at(start_ns, self._round)
 
     def _round(self) -> None:
+        from repro.verify.episodes import SendOp
+
         if self.sim.now >= self.stop_ns:
             return
         cluster = self.cluster
@@ -99,11 +109,10 @@ class TrafficDriver:
                 for dst in dsts
             ]
             endpoint = cluster.endpoint(src)
-            if self.rng.random() < 0.5:
-                endpoint.reliable_send(entries)
-            else:
-                endpoint.unreliable_send(entries)
-            self.scatterings_sent += 1
+            reliable = self.rng.random() < 0.5
+            send = endpoint.reliable_send if reliable else endpoint.unreliable_send
+            op = SendOp(self.sim.now, src, reliable, tuple(entries))
+            self.records.append((op, send(entries)))
         self.sim.schedule(self.interval_ns, self._round)
 
 
@@ -153,10 +162,15 @@ class CampaignRunner:
         episode_seed = self.episode_seed(index)
         mode = self.modes[index % len(self.modes)]
         sim = Simulator(seed=episode_seed)
+        # Enable in place before any component is built (components
+        # cache the tracer and registry objects at construction time).
+        sim.tracer.enabled = True
         if self.metrics:
-            # Enable in place before any component is built (components
-            # cache the registry object at construction time).
             sim.metrics.enabled = True
+        # Divergence details quote message ids, which come from a
+        # process-wide counter: pin it so a report never depends on
+        # what ran earlier in this Python process.
+        ProcessSender._msg_ids = itertools.count(1)
 
         raft_group = None
         replicator = None
@@ -177,16 +191,6 @@ class CampaignRunner:
             topology=topology,
             replicator=replicator,
         )
-        if self.adversarial:
-            from repro.byz.monitor import ByzantineMonitor
-
-            monitor = ByzantineMonitor(
-                cluster, seed=episode_seed, episode=index, mode=mode
-            )
-        else:
-            monitor = InvariantMonitor(
-                cluster, seed=episode_seed, episode=index, mode=mode
-            )
         schedule = ChaosSchedule.generate(
             sim.rng(f"chaos.schedule.{index}"),
             topology,
@@ -195,11 +199,9 @@ class CampaignRunner:
             allow_partition=self.use_raft,
             adversarial=self.adversarial,
         )
-        if self.adversarial:
-            monitor.set_schedule(schedule)
         injector = ChaosInjector(cluster, raft_group=raft_group)
         injector.apply(schedule)
-        TrafficDriver(
+        traffic = TrafficDriver(
             cluster,
             sim.rng(f"chaos.traffic.{index}"),
             episode=index,
@@ -207,14 +209,18 @@ class CampaignRunner:
             stop_ns=sim.now + self.horizon_ns,
         )
         sim.run(until=sim.now + self.horizon_ns + self.drain_ns)
-        monitor.final_check()
         return self._episode_report(
-            index, mode, episode_seed, cluster, monitor, schedule
+            index, mode, episode_seed, cluster, schedule, traffic.records
         )
 
     def _episode_report(
-        self, index, mode, episode_seed, cluster, monitor, schedule
+        self, index, mode, episode_seed, cluster, schedule, records
     ) -> Dict[str, Any]:
+        from repro.verify.episodes import extract_observation
+        from repro.verify.runner import verdict
+
+        observation = extract_observation(cluster.sim, cluster, records)
+        divergences = verdict(observation, schedule, episode_seed, index, mode)
         topology = cluster.topology
         controller = cluster.controller
         receivers = [
@@ -247,10 +253,14 @@ class CampaignRunner:
             "mode": mode,
             "seed": episode_seed,
             "faults": schedule.to_list(),
-            "violations": [v.to_dict() for v in monitor.violations],
-            "scatterings_sent": monitor.total_sent_scatterings,
-            "messages_sent": monitor.total_sent_messages,
-            "messages_delivered": monitor.total_delivered(),
+            "violations": [d.to_dict() for d in divergences],
+            # Every send call, refused ones included, and every entry
+            # handed to it, whether or not it became a message.
+            "scatterings_sent": len(records),
+            "messages_sent": sum(len(op.entries) for op, _s in records),
+            "messages_delivered": sum(
+                len(trace) for trace in observation.deliveries.values()
+            ),
             "discarded_on_failure": sum(
                 r.discarded_on_failure for r in receivers
             ),
@@ -272,22 +282,13 @@ class CampaignRunner:
         if self.adversarial:
             # Only stamped when the adversarial mix is on, so default
             # campaign reports stay byte-identical.
-            report["adversaries"] = monitor.adversary_summary()
+            evidence = observation.evidence
+            report["adversaries"] = adversary_summary(schedule, observation)
             report["byz"] = {
-                "accusations": (
-                    len(controller.accusations) if controller else 0
-                ),
-                "evictions": len(controller.evictions) if controller else 0,
-                "notices_rejected": (
-                    controller.reports_rejected if controller else 0
-                ),
-                "beacons_rejected": sum(
-                    getattr(agent, "beacons_rejected", 0)
-                    for agent in cluster.agents.values()
-                ) + sum(
-                    getattr(engine, "beacons_rejected", 0)
-                    for engine in cluster.engines.values()
-                ),
+                "accusations": len(evidence.accusations),
+                "evictions": len(evidence.evictions),
+                "notices_rejected": evidence.notices_rejected,
+                "beacons_rejected": evidence.beacons_rejected,
                 "receiver_rejections": sum(
                     getattr(r, "byz_rejected", 0) for r in receivers
                 ),
@@ -327,10 +328,12 @@ class CampaignRunner:
         episode_reports = run_ordered(
             _episode_worker, payloads, jobs=self.jobs, progress=self.progress
         )
+        # Counted by divergence kind; the key keeps its historical name
+        # so zero-violation reports keep their bytes.
         by_invariant: Dict[str, int] = {}
         for report in episode_reports:
             for violation in report["violations"]:
-                name = violation["invariant"]
+                name = violation["kind"]
                 by_invariant[name] = by_invariant.get(name, 0) + 1
         total_violations = sum(by_invariant.values())
         campaign_report: Dict[str, Any] = {
@@ -367,6 +370,31 @@ class CampaignRunner:
                 "counters": dict(sorted(totals.items()))
             }
         return campaign_report
+
+
+def adversary_summary(schedule, observation) -> List[Dict[str, Any]]:
+    """One entry per planted adversary, with the clause it attacks and
+    the cluster's response (accused suspects, evicted processes) —
+    campaign report material, not a check."""
+    evidence = observation.evidence
+    out: List[Dict[str, Any]] = []
+    for event in schedule:
+        if event.kind not in ADVERSARY_CLAUSES:
+            continue
+        procs = set(observation.host_procs(event.target))
+        out.append({
+            "kind": event.kind,
+            "target": event.target,
+            "clause": ADVERSARY_CLAUSES[event.kind],
+            "accused": sorted({
+                str(s) for _t, s in evidence.accusations
+                if s == event.target or s in procs
+            }),
+            "evicted": sorted({
+                p for _t, p in evidence.evictions if p in procs
+            }),
+        })
+    return out
 
 
 def _episode_worker(payload) -> Dict[str, Any]:

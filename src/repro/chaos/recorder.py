@@ -6,9 +6,11 @@ share one implementation.  It subscribes to every endpoint's delivery
 stream and failure callbacks and offers the two classic total-order
 assertions (per-receiver sortedness and pairwise agreement).
 
-For continuous invariant checking with structured, seed-carrying
-violations, use :class:`repro.chaos.monitor.InvariantMonitor`, which
-builds on the same subscriptions.
+For a verdict on the whole §2.1 contract, trace the run and feed it to
+:class:`repro.verify.oracle.ReferenceOracle` through
+:func:`repro.verify.episodes.extract_observation`, as chaos campaigns
+do; :class:`repro.chaos.monitor.InvariantMonitor` builds on the same
+``on_recv`` subscription to abort at the first out-of-order delivery.
 """
 
 from __future__ import annotations

@@ -203,7 +203,7 @@ def cmd_chaos(args) -> int:
               f"seed={report['seed']} faults={len(report['faults'])} "
               f"delivered={report['messages_delivered']} {status}")
         for violation in report["violations"]:
-            print(f"  {violation['invariant']}: {violation['detail']} "
+            print(f"  {violation['kind']}: {violation['detail']} "
                   f"(replay seed {violation['seed']})", file=sys.stderr)
 
     runner = CampaignRunner(
@@ -548,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("snapshot", help="consistent snapshot demo")
 
     chaos = sub.add_parser(
-        "chaos", help="seeded gray-failure campaign + invariant monitor"
+        "chaos", help="seeded gray-failure campaign + §2.1 oracle verdict"
     )
     chaos.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                        help="campaign seed (overrides the global --seed)")

@@ -156,7 +156,7 @@ def run_observe(
     )
     trace = build_chrome_trace(sim.tracer, sampler, meta=meta)
     summary = {
-        "scatterings_sent": driver.scatterings_sent,
+        "scatterings_sent": len(driver.records),
         "messages_delivered": delivered[0],
         "trace_records": len(sim.tracer.records),
         "trace_overflowed": sim.tracer.overflowed,

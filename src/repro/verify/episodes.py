@@ -28,7 +28,13 @@ from repro.net.topology import TopologyParams, build_fat_tree
 from repro.onepipe import OnePipeCluster, OnePipeConfig
 from repro.sim import Simulator
 from repro.sim.randomness import RngStreams
-from repro.verify.oracle import Delivery, EpisodeObservation, SentMessage
+from repro.onepipe.config import MODE_BFT
+from repro.verify.oracle import (
+    Delivery,
+    EpisodeObservation,
+    Evidence,
+    SentMessage,
+)
 
 # Sync often enough that clock faults interact with several sync epochs
 # inside one short episode (same rationale as the chaos campaign).
@@ -316,7 +322,7 @@ def replay_episode(
             f"delivery trace overflowed: {sim.tracer.dropped} records "
             f"dropped at limit {trace_limit} — raise trace_limit"
         )
-    observation = _extract_observation(sim, cluster, records)
+    observation = extract_observation(sim, cluster, records)
     late_naks = sum(
         cluster.endpoint(i).receiver.late_naks
         for i in range(cluster.n_processes)
@@ -346,16 +352,12 @@ def extract_observation(
     """Build an :class:`EpisodeObservation` from a finished run.
 
     ``records`` is a list of ``(SendOp, Scattering)`` pairs in issue
-    order.  Public so other harnesses (the workload engine's raw-mode
-    saturation tests) can feed their own traffic through the same
-    §2.1 reference oracle.
+    order; a ``None`` scattering is a refused send.  Every harness that
+    checks a 1Pipe run (verify, chaos campaigns, the shootout, the
+    workload runner, hybrid, perfbench) feeds its traffic through here
+    to the §2.1 reference oracle, and this is the only reader of the
+    receivers' delivery trace records.
     """
-    return _extract_observation(sim, cluster, records)
-
-
-def _extract_observation(
-    sim: Simulator, cluster: OnePipeCluster, records
-) -> EpisodeObservation:
     sends: List[SentMessage] = []
     completions: Dict[int, Optional[bool]] = {}
     pair_seq: Dict[Tuple[int, int], int] = {}
@@ -427,4 +429,29 @@ def _extract_observation(
         deliveries=deliveries,
         cutoff_notices=cutoff_notices,
         proc_hosts=proc_hosts,
+        evidence=_evidence(cluster),
+    )
+
+
+def _evidence(cluster: OnePipeCluster) -> Evidence:
+    """Copy the cluster's Byzantine detection trail (docs/BYZANTINE.md);
+    a cluster without a controller has accused and evicted no one."""
+    config = cluster.config
+    controller = cluster.controller
+    components = (*cluster.agents.values(), *cluster.engines.values())
+    return Evidence(
+        bft=config.mode == MODE_BFT,
+        grace_ns=config.byz_eviction_grace_intervals * config.beacon_interval_ns,
+        accusations=[
+            (time, suspect)
+            for time, _a, suspect, _d in getattr(controller, "accusations", ())
+        ],
+        evictions=[
+            (time, proc)
+            for time, proc, _d in getattr(controller, "evictions", ())
+        ],
+        notices_rejected=getattr(controller, "reports_rejected", 0),
+        beacons_rejected=sum(
+            getattr(component, "beacons_rejected", 0) for component in components
+        ),
     )

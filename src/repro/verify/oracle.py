@@ -37,12 +37,52 @@ The contract, as checkable statements:
   completion, from a sender that never failed, is delivered at every
   destination that never failed (requires a drained run: commit barriers
   must have passed the last timestamps).
+
+With an :class:`AttackInfo`, attack-mode rules additionally pin each
+planted adversary (the ``byz_*`` fault kinds) to the clause of
+:data:`ADVERSARY_CLAUSES` it breaks, and, on the hardened ``bft``
+incarnation, check that every adversary left a detection trail
+(docs/BYZANTINE.md).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+
+# Adversary kind -> the §2.1 clause it breaks in un-hardened modes.
+ADVERSARY_CLAUSES = {
+    "byz_lying_sender": (
+        "§2.1 total order (O1): a sender's timestamps are monotone, so "
+        "delivery order matches timestamp order"
+    ),
+    "byz_corrupt_beacon": (
+        "§2.1 ordered delivery (O1) via the §4.2 barrier promise: an "
+        "emitted barrier never passes timestamps still in flight"
+    ),
+    "byz_equivocate": (
+        "§2.1 integrity (O3) and agreement: every receiver of a "
+        "scattering sees the sender's single message"
+    ),
+    "byz_forge_notice": (
+        "§2.1 reliable completion (O6) and restricted failure atomicity "
+        "(O5): correct processes are never evicted on fabricated "
+        "failure evidence"
+    ),
+}
+
+# Legitimate kinds that can cause a justified host eviction (dead links
+# long enough for §5.2 Determine to fire).  When any of these is in the
+# schedule, eviction attribution is ambiguous and the wrongful-eviction
+# check stands down.
+EVICTION_CAPABLE = frozenset({
+    "crash_host", "cable_flap", "switch_flap", "link_flap",
+    "burst_loss", "degrade_link", "straggler", "ctrl_partition",
+})
+
+# Adversaries that are processes: the hardened mode is expected to
+# evict them, so their eviction is never wrongful.
+_PROCESS_ADVERSARIES = ("byz_lying_sender", "byz_equivocate")
 
 
 @dataclass(frozen=True)
@@ -77,6 +117,19 @@ class Delivery:
 
 
 @dataclass
+class Evidence:
+    """The cluster's Byzantine detection trail at the end of a run,
+    copied from the controller and host agents."""
+
+    bft: bool = False            # the run used the hardened incarnation
+    grace_ns: int = 0            # allowed accusation -> eviction delay
+    accusations: List[Tuple[int, Any]] = field(default_factory=list)  # (time, suspect)
+    evictions: List[Tuple[int, int]] = field(default_factory=list)    # (time, proc)
+    notices_rejected: int = 0    # failure notices refused at admission
+    beacons_rejected: int = 0    # beacons refused by agents and engines
+
+
+@dataclass
 class EpisodeObservation:
     """Everything the oracle needs, extracted from one episode run."""
 
@@ -94,6 +147,12 @@ class EpisodeObservation:
     # proc -> host id placement, used by the attack-mode checks to map a
     # targeted host to the processes an adversary can frame or corrupt.
     proc_hosts: Dict[int, str] = field(default_factory=dict)
+    # The detection trail, for the attack-mode containment rule.
+    evidence: Evidence = field(default_factory=Evidence)
+
+    def host_procs(self, host: str) -> List[int]:
+        """The processes placed on ``host``, in id order."""
+        return sorted(p for p, h in self.proc_hosts.items() if h == host)
 
 
 @dataclass
@@ -143,15 +202,36 @@ class AttackInfo:
         return [t for k, t in self.adversaries if k == kind]
 
 
+def order_divergence(
+    receiver: int, trace: Sequence[Delivery]
+) -> Optional[Divergence]:
+    """O1 on one receiver: the first position where ``trace`` departs
+    from its own order under the global key, or None.  Later positions
+    are all shifted, so only the first is reported."""
+    expected = sorted(trace, key=Delivery.key)
+    for position, (actual, legal) in enumerate(zip(trace, expected)):
+        if actual.msg_id != legal.msg_id:
+            return Divergence(
+                "order",
+                f"receiver {receiver} delivery #{position} is "
+                f"msg_id={actual.msg_id} key={actual.key()} but the "
+                f"unique legal order puts msg_id={legal.msg_id} "
+                f"key={legal.key()} there",
+                receiver=receiver, index=position,
+            )
+    return None
+
+
 class ReferenceOracle:
     """Compute the legal outcome of an episode and diff the actual one.
 
     With ``attack`` set (an :class:`AttackInfo`), the check additionally
     runs attack-mode rules that pin each planted adversary to the §2.1
-    clause it violates (see :data:`repro.byz.monitor.ADVERSARY_CLAUSES`)
-    — e.g. a lying sender whose timestamps regress and who was never
-    evicted, or a correct host framed by a forged failure notice.
-    Without ``attack`` the behavior is unchanged.
+    clause it violates (:data:`ADVERSARY_CLAUSES`) — e.g. a lying sender
+    whose timestamps regress and who was never evicted, or a correct
+    host framed by a forged failure notice — and, on a ``bft`` run,
+    that each adversary was detected.  Without ``attack`` the behavior
+    is unchanged.
     """
 
     def __init__(
@@ -166,15 +246,11 @@ class ReferenceOracle:
         }
         self._adversary_procs: Set[int] = set()
         if attack is not None:
-            adversary_hosts = {
-                t
-                for k, t in attack.adversaries
-                if k in ("byz_lying_sender", "byz_equivocate")
-            }
             self._adversary_procs = {
                 proc
-                for proc, host in observation.proc_hosts.items()
-                if host in adversary_hosts
+                for kind, host in attack.adversaries
+                if kind in _PROCESS_ADVERSARIES
+                for proc in observation.host_procs(host)
             }
 
     # ------------------------------------------------------------------
@@ -256,9 +332,8 @@ class ReferenceOracle:
                         f"receiver {receiver} delivered payload "
                         f"{delivery.payload!r} for msg_id="
                         f"{delivery.msg_id} but process {delivery.src} "
-                        f"sent {sent.payload!r} — §2.1 integrity (O3): "
-                        f"every receiver of a scattering sees the "
-                        f"sender's single message",
+                        f"sent {sent.payload!r} — "
+                        f"{ADVERSARY_CLAUSES['byz_equivocate']}",
                         receiver=receiver, index=index,
                     ))
                 else:
@@ -308,18 +383,9 @@ class ReferenceOracle:
                 pair_pos[sent.src] = sent.pair_seq
             clean.append(delivery)
         # O1: the delivered sequence equals its own sorted order.
-        expected = sorted(clean, key=Delivery.key)
-        for position, (actual, legal) in enumerate(zip(clean, expected)):
-            if actual.msg_id != legal.msg_id:
-                out.append(Divergence(
-                    "order",
-                    f"receiver {receiver} delivery #{position} is "
-                    f"msg_id={actual.msg_id} key={actual.key()} but the "
-                    f"unique legal order puts msg_id={legal.msg_id} "
-                    f"key={legal.key()} there",
-                    receiver=receiver, index=position,
-                ))
-                break  # later positions are all shifted; report the first
+        divergence = order_divergence(receiver, clean)
+        if divergence is not None:
+            out.append(divergence)
         return out
 
     # ------------------------------------------------------------------
@@ -354,9 +420,8 @@ class ReferenceOracle:
                     out.append(Divergence(
                         "lying_sender",
                         f"process {src} assigned regressing timestamps "
-                        f"and was never evicted — §2.1 total order (O1): "
-                        f"a sender's timestamps are monotone, so "
-                        f"delivery order matches timestamp order",
+                        f"and was never evicted — "
+                        f"{ADVERSARY_CLAUSES['byz_lying_sender']}",
                     ))
 
         # byz_corrupt_beacon -> §4.2 barrier promise.  An inflated
@@ -369,9 +434,7 @@ class ReferenceOracle:
             for divergence in trace_divergences:
                 if divergence.kind == "order":
                     divergence.extra["clause"] = (
-                        "§2.1 ordered delivery (O1) via the §4.2 barrier "
-                        "promise: an emitted barrier never passes "
-                        "timestamps still in flight"
+                        ADVERSARY_CLAUSES["byz_corrupt_beacon"]
                     )
             if not attack.eviction_capable_faults:
                 denied = sorted({
@@ -390,30 +453,76 @@ class ReferenceOracle:
                         f"{len(denied)} reliable scatterings between "
                         f"correct processes aborted under a corrupted "
                         f"barrier with no legitimate fault present "
-                        f"(first: #{denied[0]}) — §2.1 reliable "
-                        f"completion (O6) via the §4.2 barrier promise: "
-                        f"an emitted barrier never passes timestamps "
-                        f"still in flight, so honest messages are never "
-                        f"rejected as late",
+                        f"(first: #{denied[0]}), honest messages "
+                        f"rejected as late (O6) — "
+                        f"{ADVERSARY_CLAUSES['byz_corrupt_beacon']}",
                         extra={"scatterings": denied},
                     ))
 
-        # byz_forge_notice -> §2.1 O5/O6.  The forged notice names a
-        # correct host; if its processes ended up evicted although no
-        # legitimate fault could have killed them, they were framed.
-        framed_hosts = set(attack.targets("byz_forge_notice"))
-        if framed_hosts and not attack.eviction_capable_faults:
-            for proc in sorted(self.obs.failed_procs):
+        # Wrongful eviction -> §2.1 O5/O6.  With no legitimate fault
+        # that could have killed anyone, the only processes that may end
+        # up evicted are the lying or equivocating adversaries; anyone
+        # else was framed (byz_forge_notice) or collateral damage.
+        if not attack.eviction_capable_faults:
+            for proc in sorted(self.obs.failed_procs - self._adversary_procs):
                 host = self.obs.proc_hosts.get(proc)
-                if host in framed_hosts:
+                out.append(Divergence(
+                    "wrongful_eviction",
+                    f"correct process {proc} on {host} was evicted "
+                    f"without any real fault — "
+                    f"{ADVERSARY_CLAUSES['byz_forge_notice']}",
+                ))
+
+        if self.obs.evidence.bft:
+            out.extend(self._check_containment())
+        return out
+
+    def _check_containment(self) -> List[Divergence]:
+        """``bft`` runs: every planted adversary that acted left a
+        detection trail — an accused process adversary is evicted
+        within the grace window, a corrupt engine whose beacons were
+        rejected is accused, a forged notice is rejected."""
+        evidence = self.obs.evidence
+        out: List[Divergence] = []
+        for kind, target in self.attack.adversaries:
+            clause = ADVERSARY_CLAUSES[kind]
+            if kind in _PROCESS_ADVERSARIES:
+                procs = set(self.obs.host_procs(target))
+                # An idle adversary (no sends in its window) is
+                # indistinguishable from an honest process: eviction is
+                # only owed once a receiver or engine accused it.
+                accused = [t for t, s in evidence.accusations if s in procs]
+                if not accused:
+                    continue
+                evicted = [t for t, p in evidence.evictions if p in procs]
+                if not evicted:
                     out.append(Divergence(
-                        "wrongful_eviction",
-                        f"correct process {proc} on {host} was evicted "
-                        f"on fabricated failure evidence — §2.1 reliable "
-                        f"completion (O6) and restricted failure "
-                        f"atomicity (O5): correct processes are never "
-                        f"evicted on fabricated failure evidence",
+                        "adversary_undetected",
+                        f"{kind} on {target} was accused but never "
+                        f"evicted — {clause}",
                     ))
+                elif min(evicted) - min(accused) > evidence.grace_ns:
+                    out.append(Divergence(
+                        "slow_eviction",
+                        f"{kind} on {target} evicted "
+                        f"{min(evicted) - min(accused)}ns after the first "
+                        f"accusation (grace {evidence.grace_ns}ns) — "
+                        f"{clause}",
+                    ))
+            elif kind == "byz_corrupt_beacon":
+                accused = any(s == target for _t, s in evidence.accusations)
+                if evidence.beacons_rejected and not accused:
+                    out.append(Divergence(
+                        "adversary_undetected",
+                        f"corrupt beacon engine {target} had beacons "
+                        f"rejected but was never accused — {clause}",
+                    ))
+            elif kind == "byz_forge_notice" and evidence.notices_rejected < 1:
+                out.append(Divergence(
+                    "adversary_undetected",
+                    f"forged dead-link notice naming {target} was not "
+                    f"rejected — {clause}",
+                ))
         return out
 
     def _check_reliable_completion(self) -> List[Divergence]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.onepipe.config import MODES
 from repro.parallel import run_ordered
@@ -23,7 +23,14 @@ from repro.verify.episodes import (
     generate_episode,
     replay_episode,
 )
-from repro.verify.oracle import AttackInfo, Divergence, ReferenceOracle
+from repro.verify.oracle import (
+    ADVERSARY_CLAUSES,
+    EVICTION_CAPABLE,
+    AttackInfo,
+    Divergence,
+    EpisodeObservation,
+    ReferenceOracle,
+)
 from repro.verify.shrink import shrink_episode
 
 # Same convention as the chaos campaign: episode seeds are far apart so
@@ -35,17 +42,16 @@ def episode_seed(seed: int, episode: int) -> int:
     return seed * EPISODE_SEED_STRIDE + episode
 
 
-def attack_info(spec: EpisodeSpec) -> Optional[AttackInfo]:
-    """Derive the oracle's attack-mode input from a spec's fault list.
+def attack_info(faults: Iterable) -> Optional[AttackInfo]:
+    """Derive the oracle's attack-mode input from a fault list.
 
-    Returns None for specs without adversarial (``byz_*``) faults, so
-    plain episodes check exactly as before this mode existed.
+    Returns None for fault lists without adversarial (``byz_*``) kinds,
+    so plain runs check exactly as before this mode existed.
     """
-    from repro.byz.monitor import ADVERSARY_CLAUSES, _EVICTION_CAPABLE
-
+    faults = list(faults)
     adversaries = [
         (event.kind, event.target)
-        for event in spec.faults
+        for event in faults
         if event.kind in ADVERSARY_CLAUSES
     ]
     if not adversaries:
@@ -53,9 +59,24 @@ def attack_info(spec: EpisodeSpec) -> Optional[AttackInfo]:
     return AttackInfo(
         adversaries=adversaries,
         eviction_capable_faults=any(
-            event.kind in _EVICTION_CAPABLE for event in spec.faults
+            event.kind in EVICTION_CAPABLE for event in faults
         ),
     )
+
+
+def verdict(
+    observation: EpisodeObservation, faults: Iterable, seed: int,
+    episode: int, mode: str,
+) -> List[Divergence]:
+    """The §2.1 verdict on one finished run: the reference oracle (in
+    attack mode when ``faults`` plant adversaries), with every
+    divergence stamped with the run's replay coordinates."""
+    divergences = ReferenceOracle(observation, attack=attack_info(faults)).check()
+    for divergence in divergences:
+        divergence.seed = seed
+        divergence.episode = episode
+        divergence.mode = mode
+    return divergences
 
 
 def check_episode(
@@ -75,12 +96,9 @@ def check_episode(
         spec, mutate=mutate, metrics=metrics,
         analytic_beacons=analytic_beacons,
     )
-    divergences = ReferenceOracle(run.observation, attack=attack_info(spec)).check()
-    for divergence in divergences:
-        divergence.seed = spec.seed
-        divergence.episode = spec.episode
-        divergence.mode = spec.mode
-    return run, divergences
+    return run, verdict(
+        run.observation, spec.faults, spec.seed, spec.episode, spec.mode
+    )
 
 
 def _check_one(

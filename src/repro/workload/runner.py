@@ -8,10 +8,11 @@ function of ``(scenario, seed, faults)`` — byte-identical across runs
 and across ``--jobs`` values (the job count never enters the JSON; the
 ``workload-smoke`` CI job ``cmp``'s two runs).
 
-Each shard also audits §2.1 per-sender ordering from the delivery
-trace: the sequence delivered at every receiver must be sorted by the
-total-order key ``(ts, src, msg_id)``.  ``report["ok"]`` requires zero
-violations in every shard.  ``--analytic-beacons`` replays shards on
+Each shard also audits §2.1 total order (the reference oracle's O1)
+on the delivery trace: the sequence delivered at every receiver must be
+sorted by the total-order key ``(ts, src, msg_id)``; ``violations``
+counts the receivers whose sequence is not.  ``report["ok"]`` requires
+zero violations in every shard.  ``--analytic-beacons`` replays shards on
 the virtual beacon fabric; the fabric is exact, so the report bytes do
 not change and the flag stays out of the JSON.
 """
@@ -49,7 +50,11 @@ def run_shard(
     from repro.onepipe import OnePipeCluster, OnePipeConfig
     from repro.onepipe.sender import ProcessSender
     from repro.sim import Simulator
-    from repro.verify.episodes import build_verify_topology
+    from repro.verify.episodes import (
+        build_verify_topology,
+        extract_observation,
+    )
+    from repro.verify.oracle import order_divergence
     from repro.workload.engine import WorkloadEngine, build_app
 
     shard_seed = seed * SHARD_SEED_STRIDE + shard
@@ -97,7 +102,12 @@ def run_shard(
     ordering = {"checked": bool(check_ordering), "violations": 0,
                 "deliveries": 0}
     if check_ordering:
-        ordering.update(_check_ordering(sim, scenario.n_processes))
+        deliveries = extract_observation(sim, cluster, []).deliveries
+        ordering["violations"] = sum(
+            order_divergence(receiver, trace) is not None
+            for receiver, trace in deliveries.items()
+        )
+        ordering["deliveries"] = sum(map(len, deliveries.values()))
 
     report = _shard_report(scenario, engine, shard, shard_seed, ordering)
     if keep_run:
@@ -105,29 +115,6 @@ def run_shard(
             "sim": sim, "cluster": cluster, "engine": engine, "app": app,
         }
     return report
-
-
-def _check_ordering(sim, n_processes: int) -> Dict[str, int]:
-    """Count adjacent total-order inversions in each receiver's
-    delivered sequence (O1: delivery order == (ts, src, msg_id) order).
-    """
-    sequences: Dict[int, List[tuple]] = {i: [] for i in range(n_processes)}
-    for _time, component, event, fields in sim.tracer.records:
-        if event != "deliver" or not component.startswith("recv."):
-            continue
-        receiver = int(component[5:])
-        if receiver in sequences:
-            sequences[receiver].append(
-                (fields["ts"], fields["src"], fields["msg_id"])
-            )
-    violations = 0
-    deliveries = 0
-    for sequence in sequences.values():
-        deliveries += len(sequence)
-        for earlier, later in zip(sequence, sequence[1:]):
-            if earlier > later:
-                violations += 1
-    return {"violations": violations, "deliveries": deliveries}
 
 
 def _shard_report(

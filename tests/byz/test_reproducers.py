@@ -18,9 +18,9 @@ import os
 
 import pytest
 
-from repro.byz.monitor import ADVERSARY_CLAUSES
 from repro.onepipe.config import MODE_BFT, OnePipeConfig
 from repro.verify.episodes import EpisodeSpec
+from repro.verify.oracle import ADVERSARY_CLAUSES
 from repro.verify.runner import check_episode
 
 REPRO_DIR = os.path.join(os.path.dirname(__file__), "reproducers")

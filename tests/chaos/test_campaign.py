@@ -1,11 +1,13 @@
 """Tests for the seeded chaos schedule and campaign runner."""
 
 import json
+from collections import defaultdict
 
 import pytest
 
 from repro.chaos import CampaignRunner, ChaosSchedule, write_report
 from repro.net.topology import build_testbed
+from repro.onepipe.receiver import ProcessReceiver
 from repro.sim import Simulator
 
 SMALL = dict(
@@ -95,6 +97,36 @@ class TestCampaign:
         ).run()
         assert report["ok"] is True
         assert report["campaign"]["use_raft"] is True
+
+    def test_ordering_bug_fails_the_campaign_verdict(self, monkeypatch):
+        """The pair-swap bug of tests/verify/test_conformance.py, patched
+        into every receiver: each episode's oracle verdict must report
+        ``order`` divergences carrying that episode's replay coordinates
+        (jobs=1, so the patch is live in the episodes)."""
+        deliver = ProcessReceiver._deliver
+        held = defaultdict(list)
+
+        def swap_pairs(receiver, *message):
+            pending = held[receiver]
+            pending.append(message)
+            if len(pending) == 2:
+                first, second = pending
+                pending.clear()
+                deliver(receiver, *second)
+                deliver(receiver, *first)
+
+        monkeypatch.setattr(ProcessReceiver, "_deliver", swap_pairs)
+        report = CampaignRunner(seed=3, **SMALL).run()
+        assert report["ok"] is False
+        assert report["violations_by_invariant"]["order"] >= 3
+        for episode_report in report["episode_reports"]:
+            order = [v for v in episode_report["violations"]
+                     if v["kind"] == "order"]
+            assert order
+            for violation in order:
+                assert violation["seed"] == episode_report["seed"]
+                assert violation["episode"] == episode_report["episode"]
+                assert violation["mode"] == episode_report["mode"]
 
     def test_write_report_round_trips(self, tmp_path):
         report = {"ok": True, "total_violations": 0}

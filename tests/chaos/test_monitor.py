@@ -1,9 +1,13 @@
-"""Tests for the cluster-wide invariant monitor.
+"""Tests for the live invariant monitor and the oracle verdict on live runs.
 
-The positive tests drive real traffic and expect silence; the negative
-tests bypass the (correct) ordering layer and hand the monitor
-deliberately broken delivery streams, which it must flag with
-violations that name the replay seed.
+The monitor keeps the two checks only a live hook can make: I1
+per-delivery order (with ``raise_immediately``) and I3 barrier
+monotonicity.  Its negative tests hand it deliberately broken delivery
+streams and barrier updates, which it must flag with violations that
+name the replay seed.  The rest of the §2.1 contract belongs to the
+reference oracle, checked here on the observation of real cluster runs:
+clean runs must pass, and breaches injected into the observed trace
+must be flagged.
 """
 
 import pytest
@@ -11,41 +15,61 @@ import pytest
 from repro.chaos import InvariantMonitor, InvariantViolation
 from repro.onepipe import OnePipeCluster
 from repro.sim import Simulator
+from repro.verify.episodes import SendOp, extract_observation
+from repro.verify.oracle import ReferenceOracle
 
 
 def build(seed=3, n=8):
     sim = Simulator(seed=seed)
-    cluster = OnePipeCluster(sim, n_processes=n)
-    return sim, cluster
+    return sim, OnePipeCluster(sim, n_processes=n)
+
+
+def observe(sends, until, seed=3):
+    """Issue ``(at, src, entries, reliable)`` sends on a fresh traced
+    cluster, run it to ``until``, and return the run's observation."""
+    sim = Simulator(seed=seed)
+    # Enable in place: endpoints cache the tracer at construction.
+    sim.tracer.enabled = True
+    cluster = OnePipeCluster(sim, n_processes=8)
+    records = []
+
+    def issue(at, src, entries, reliable):
+        endpoint = cluster.endpoint(src)
+        send = endpoint.reliable_send if reliable else endpoint.unreliable_send
+        records.append((SendOp(at, src, reliable, tuple(entries)),
+                        send(entries)))
+
+    for send in sends:
+        sim.schedule_at(send[0], issue, *send)
+    sim.run(until=until)
+    return extract_observation(sim, cluster, records)
+
+
+def kinds(observation):
+    return [d.kind for d in ReferenceOracle(observation).check()]
 
 
 class TestCleanRuns:
     def test_no_violations_on_healthy_traffic(self):
-        sim, cluster = build()
-        monitor = InvariantMonitor(cluster)
-
-        def traffic():
+        sends = []
+        for t in range(20_000, 1_000_000, 20_000):
             for s in range(8):
-                ep = cluster.endpoint(s)
-                ep.unreliable_send([((s + 1) % 8, f"u{s}.{sim.now}")])
-                ep.reliable_send([((s + 3) % 8, f"r{s}.{sim.now}")])
-
-        sim.every(20_000, traffic)
-        sim.run(until=1_000_000)
-        assert monitor.final_check() == []
-        assert monitor.total_delivered() > 0
-        assert monitor.total_sent_scatterings > 0
-        assert monitor.summary() == {}
+                sends.append((t, s, [((s + 1) % 8, f"u{s}.{t}")], False))
+                sends.append((t, s, [((s + 3) % 8, f"r{s}.{t}")], True))
+        observation = observe(sends, until=1_000_000)
+        assert kinds(observation) == []
+        assert sum(map(len, observation.deliveries.values())) > 0
+        assert observation.completions
 
     def test_counts_messages_and_scatterings(self):
-        sim, cluster = build()
-        monitor = InvariantMonitor(cluster)
-        cluster.endpoint(0).unreliable_send([(1, "a"), (2, "b"), (3, "c")])
-        cluster.endpoint(4).reliable_send([(5, "d")])
-        sim.run(until=500_000)
-        assert monitor.total_sent_scatterings == 2
-        assert monitor.total_sent_messages == 4
-        assert monitor.total_delivered() == 4
+        observation = observe([
+            (1_000, 0, [(1, "a"), (2, "b"), (3, "c")], False),
+            (1_000, 4, [(5, "d")], True),
+        ], until=500_000)
+        assert len(observation.completions) == 2
+        assert len(observation.sends) == 4
+        assert sum(map(len, observation.deliveries.values())) == 4
+        assert kinds(observation) == []
 
 
 class TestBrokenOrderingIsCaught:
@@ -78,35 +102,32 @@ class TestBrokenOrderingIsCaught:
         assert excinfo.value.invariant == "per_receiver_order"
 
     def test_duplicate_delivery_is_caught(self):
-        sim, cluster = build()
-        monitor = InvariantMonitor(cluster)
-        ep = cluster.endpoint(3)
-        ep._dispatch_delivery(100, 1, "dup", True)
-        ep._dispatch_delivery(100, 1, "dup", True)
-        assert [v.invariant for v in monitor.violations] == ["at_most_once"]
+        observation = observe([(1_000, 1, [(3, "dup")], True)],
+                              until=500_000)
+        trace = observation.deliveries[3]
+        trace.append(trace[0])
+        assert kinds(observation) == ["duplicate"]
 
     def test_fifo_inversion_is_caught(self):
-        sim, cluster = build()
-        monitor = InvariantMonitor(cluster)
-        monitor._note_send(1, [(0, "first"), (0, "second")],
-                           reliable=False, scattering=None)
-        ep = cluster.endpoint(0)
-        ep._dispatch_delivery(10, 1, "second", False)
-        ep._dispatch_delivery(20, 1, "first", False)
-        assert "pair_fifo" in [v.invariant for v in monitor.violations]
+        observation = observe([
+            (1_000, 1, [(0, "first")], False),
+            (5_000, 1, [(0, "second")], False),
+        ], until=500_000)
+        trace = observation.deliveries[0]
+        trace.reverse()
+        assert [d.payload for d in trace] == ["second", "first"]
+        assert "pair_fifo" in kinds(observation)
 
     def test_cross_receiver_disagreement_is_caught(self):
-        sim, cluster = build()
-        monitor = InvariantMonitor(cluster)
-        a, b = cluster.endpoint(0), cluster.endpoint(1)
-        a._dispatch_delivery(100, 2, "m1", False)
-        a._dispatch_delivery(100, 3, "m2", False)
-        b._dispatch_delivery(100, 3, "m2", False)
-        b._dispatch_delivery(100, 2, "m1", False)
-        monitor.check_agreement()
-        assert "cross_receiver_agreement" in [
-            v.invariant for v in monitor.violations
-        ]
+        """Both receivers get m1 and m2; receiver 1 delivering them in
+        the other order breaks O1, which implies agreement."""
+        observation = observe([
+            (1_000, 2, [(0, "m1"), (1, "m1")], False),
+            (5_000, 3, [(0, "m2"), (1, "m2")], False),
+        ], until=500_000)
+        observation.deliveries[1].reverse()
+        divergences = ReferenceOracle(observation).check()
+        assert [(d.kind, d.receiver) for d in divergences] == [("order", 1)]
 
     def test_barrier_regression_is_caught(self):
         """A (deliberately broken) barrier tracker that assigns blindly
@@ -139,41 +160,35 @@ class TestBrokenOrderingIsCaught:
 
 class TestFailureAwareChecks:
     def test_failure_cutoff_violation_detected(self):
-        sim, cluster = build()
-        monitor = InvariantMonitor(cluster)
-        cluster.controller.failed_procs[5] = 1000
-        ep = cluster.endpoint(0)
-        ep._dispatch_delivery(1500, 5, "zombie", True)
-        monitor.check_failure_cutoffs()
-        assert "failure_cutoff" in [v.invariant for v in monitor.violations]
+        observation = observe([(1_000, 5, [(0, "zombie")], True)],
+                              until=500_000)
+        (delivery,) = observation.deliveries[0]
+        # Receiver 0 was told to discard proc 5 from this very timestamp
+        # before it delivered the message.
+        observation.cutoff_notices[0] = [(delivery.time - 1, 5, delivery.ts)]
+        assert kinds(observation) == ["failure_cutoff"]
 
     def test_delivery_below_cutoff_is_fine(self):
-        sim, cluster = build()
-        monitor = InvariantMonitor(cluster)
-        cluster.controller.failed_procs[5] = 1000
-        cluster.endpoint(0)._dispatch_delivery(900, 5, "ok", True)
-        monitor.check_failure_cutoffs()
-        assert monitor.violations == []
+        observation = observe([(1_000, 5, [(0, "ok")], True)],
+                              until=500_000)
+        (delivery,) = observation.deliveries[0]
+        observation.cutoff_notices[0] = [
+            (delivery.time - 1, 5, delivery.ts + 1)]
+        assert kinds(observation) == []
 
     def test_reliable_exactly_once_after_quiesce(self):
-        sim, cluster = build()
-        monitor = InvariantMonitor(cluster)
-        cluster.endpoint(0).reliable_send([(1, "must-arrive"), (2, "also")])
-        sim.run(until=2_000_000)
-        monitor.check_reliable_exactly_once()
-        assert monitor.violations == []
+        observation = observe(
+            [(1_000, 0, [(1, "must-arrive"), (2, "also")], True)],
+            until=2_000_000)
+        oracle = ReferenceOracle(observation)
+        assert [m.payload for m in oracle.required_reliable(1)] == [
+            "must-arrive"]
+        assert oracle.check() == []
 
     def test_lost_completed_scattering_is_caught(self):
-        sim, cluster = build()
-        monitor = InvariantMonitor(cluster)
-        scattering = cluster.endpoint(0).reliable_send([(1, "gone")])
-        sim.run(until=2_000_000)
-        assert scattering.completed.done and scattering.completed.value
+        observation = observe([(1_000, 0, [(1, "gone")], True)],
+                              until=2_000_000)
+        assert observation.completions == {0: True}
         # Pretend receiver 1 never delivered it.
-        monitor.deliveries[1] = [
-            m for m in monitor.deliveries[1] if m.payload != "gone"
-        ]
-        monitor.check_reliable_exactly_once()
-        assert "reliable_exactly_once" in [
-            v.invariant for v in monitor.violations
-        ]
+        observation.deliveries[1] = []
+        assert kinds(observation) == ["reliable_missing"]

@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from repro.chaos import CampaignRunner
+from repro.onepipe.config import ALL_MODES
 from repro.parallel import ParallelWorkerError, run_ordered
 from repro.verify import VerifyRunner
 
@@ -95,14 +96,18 @@ CHAOS_KNOBS = dict(
 
 class TestChaosJobs:
     def test_parallel_report_is_byte_identical(self):
-        sequential = json.dumps(
-            CampaignRunner(seed=5, **CHAOS_KNOBS).run(), sort_keys=True
+        adversarial = dict(
+            CHAOS_KNOBS, episodes=4, modes=ALL_MODES, adversarial=True
         )
-        parallel = json.dumps(
-            CampaignRunner(seed=5, jobs=3, **CHAOS_KNOBS).run(),
-            sort_keys=True,
-        )
-        assert sequential == parallel
+        for knobs in (CHAOS_KNOBS, adversarial):
+            sequential = json.dumps(
+                CampaignRunner(seed=5, **knobs).run(), sort_keys=True
+            )
+            parallel = json.dumps(
+                CampaignRunner(seed=5, jobs=3, **knobs).run(),
+                sort_keys=True,
+            )
+            assert sequential == parallel
 
     def test_parallel_progress_arrives_in_episode_order(self):
         order = []

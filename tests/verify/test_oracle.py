@@ -8,8 +8,10 @@ simulator involved — and checks that the oracle's verdict matches the
 import pytest
 
 from repro.verify.oracle import (
+    AttackInfo,
     Delivery,
     EpisodeObservation,
+    Evidence,
     ReferenceOracle,
     SentMessage,
 )
@@ -194,3 +196,55 @@ def test_divergence_to_dict_round_trip():
     assert set(payload) == {
         "kind", "detail", "receiver", "index", "seed", "episode", "mode"
     }
+
+
+# ----------------------------------------------------------------------
+# Attack mode: wrongful eviction and bft containment
+# ----------------------------------------------------------------------
+def attacked(adversaries, failed=(), eviction_capable=False, **evidence):
+    """Divergence kinds of an empty run on hosts h0..h3 (proc i on h_i)
+    under ``adversaries``, with the given failed procs and evidence."""
+    obs = observation([], {}, failed=set(failed))
+    obs.proc_hosts = {i: f"h{i}" for i in range(4)}
+    obs.evidence = Evidence(grace_ns=100, **evidence)
+    attack = AttackInfo(adversaries, eviction_capable_faults=eviction_capable)
+    return kinds(ReferenceOracle(obs, attack=attack).check())
+
+
+def test_evicting_a_correct_process_is_wrongful():
+    # Any adversary kind: a corrupt beacon does not license evictions.
+    assert attacked([("byz_corrupt_beacon", "tor0")], failed={2}) == [
+        "wrongful_eviction"]
+    assert attacked([("byz_forge_notice", "h1")], failed={2}) == [
+        "wrongful_eviction"]
+    # Evicting the lying process itself is expected, and a real fault
+    # in the schedule makes every eviction ambiguous.
+    assert attacked([("byz_lying_sender", "h2")], failed={2}) == []
+    assert attacked([("byz_forge_notice", "h1")], failed={2},
+                    eviction_capable=True) == []
+
+
+def test_bft_containment_requires_a_timely_eviction():
+    lying = [("byz_lying_sender", "h2")]
+    # Un-hardened runs owe no detection trail.
+    assert attacked(lying, accusations=[(10, 2)]) == []
+    # An accused process adversary must be evicted within the grace.
+    assert attacked(lying, bft=True, accusations=[(10, 2)]) == [
+        "adversary_undetected"]
+    assert attacked(lying, failed={2}, bft=True, accusations=[(10, 2)],
+                    evictions=[(500, 2)]) == ["slow_eviction"]
+    assert attacked(lying, failed={2}, bft=True, accusations=[(10, 2)],
+                    evictions=[(60, 2)]) == []
+    # Never accused: an idle adversary looks honest.
+    assert attacked(lying, bft=True) == []
+
+
+def test_bft_containment_of_engines_and_notices():
+    beacon = [("byz_corrupt_beacon", "tor0")]
+    assert attacked(beacon, bft=True, beacons_rejected=3) == [
+        "adversary_undetected"]
+    assert attacked(beacon, bft=True, beacons_rejected=3,
+                    accusations=[(10, "tor0")]) == []
+    forged = [("byz_forge_notice", "h1")]
+    assert attacked(forged, bft=True) == ["adversary_undetected"]
+    assert attacked(forged, bft=True, notices_rejected=1) == []
